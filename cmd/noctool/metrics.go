@@ -25,8 +25,6 @@ type sweepMetrics struct {
 	start    time.Time
 	total    int // visible grid cells
 	workers  int
-	lanes    int
-	groups   int
 	cached   int
 	executed int
 	failed   int
@@ -38,9 +36,9 @@ type sweepMetrics struct {
 	workerCycle []int64
 }
 
-func newSweepMetrics(total, workers, lanes int) *sweepMetrics {
+func newSweepMetrics(total, workers int) *sweepMetrics {
 	return &sweepMetrics{
-		start: time.Now(), total: total, workers: workers, lanes: lanes,
+		start: time.Now(), total: total, workers: workers,
 		workerWall:  make([]time.Duration, workers),
 		workerCycle: make([]int64, workers),
 	}
@@ -71,13 +69,6 @@ func (m *sweepMetrics) onCell(ev scenario.CellEvent) {
 	}
 }
 
-// setGroups records the ensemble accounting once the plan is known.
-func (m *sweepMetrics) setGroups(groups int) {
-	m.mu.Lock()
-	m.groups = groups
-	m.mu.Unlock()
-}
-
 // render writes the Prometheus text exposition. Families and label sets
 // are fixed, so two scrapes differ only in sample values.
 func (m *sweepMetrics) render(w io.Writer) {
@@ -101,8 +92,6 @@ func (m *sweepMetrics) render(w io.Writer) {
 		ratio = float64(m.cached) / float64(done)
 	}
 	gauge("tanoq_sweep_cache_hit_ratio", "Cached fraction of completed cells.", fmt.Sprintf("%.6f", ratio))
-	gauge("tanoq_sweep_lanes", "Configured ensemble lane cap (1 = standalone).", m.lanes)
-	gauge("tanoq_sweep_lane_groups", "Ensemble batches in the execution plan.", m.groups)
 	gauge("tanoq_sweep_workers", "Runner worker count.", m.workers)
 	gauge("tanoq_sweep_elapsed_seconds", "Wall-clock seconds since the sweep started.", fmt.Sprintf("%.3f", time.Since(m.start).Seconds()))
 	fmt.Fprintf(w, "# HELP tanoq_sweep_worker_cycles_per_second Simulated cycles per wall second, per worker slot.\n")

@@ -11,7 +11,7 @@ import "tanoq/internal/sim"
 // a fast-forwarded run wakes exactly at every tick), sysEvents
 // accounting keeps a pending probe from holding a drained network
 // alive, and the tick sequence is a pure function of the interval —
-// bit-identical across worker counts, ensemble lanes, and skip on/off.
+// bit-identical across worker counts and skip on/off.
 // The telemetry package builds its Sampler on top of this surface; the
 // engine itself stores only two words and a function value, all cleared
 // by Reset like every other per-cell attachment.

@@ -52,16 +52,6 @@ type Cell struct {
 	// that crawls in wall time. 0 inherits Options.Deadline; negative
 	// disables the deadline for this cell.
 	Deadline time.Duration
-
-	// Group, when nonzero, marks the cell as seed-batchable: cells
-	// sharing a Group value are identical except for Config.Seed (and a
-	// Setup closure differing only by that seed) and may execute as
-	// lanes of one network.Ensemble when Options.Lanes allows. The
-	// grouping is an execution strategy, never a semantic one — results
-	// are bit-identical whether a cell runs standalone or as a lane.
-	// Callers that cannot guarantee the identical-except-seed contract
-	// must leave Group zero.
-	Group int
 }
 
 // Result is the outcome of one cell.
@@ -85,10 +75,7 @@ type Result struct {
 	// retries, 0 when cancellation skipped it entirely).
 	Attempts int
 	// Elapsed is the wall-clock time the successful attempt spent
-	// simulating (the WarmupAndMeasure call). A cell that ran as an
-	// ensemble lane reports its batch's elapsed time divided by the lane
-	// count — the amortized per-seed cost, which is what a throughput
-	// column should show for lockstep execution. Zero for failed cells.
+	// simulating (the WarmupAndMeasure call). Zero for failed cells.
 	Elapsed time.Duration
 	// Worker is the worker-slot index that produced the result (-1 for
 	// cells skipped before any worker claimed them) — per-worker
@@ -242,12 +229,6 @@ type Options struct {
 	// calls from different workers; cells skipped by cancellation are
 	// NOT reported through it.
 	OnResult func(job int, r *Result)
-	// Lanes enables ensemble lockstep execution: up to this many cells
-	// sharing a nonzero Cell.Group run as lanes of one network.Ensemble
-	// (see PlanUnits). 0 or 1 runs every cell standalone. Results are
-	// bit-identical either way; lanes only change how fast the batch
-	// goes.
-	Lanes int
 }
 
 // maxBackoff caps the exponential retry delay.
@@ -299,34 +280,11 @@ func RunCells(cells []Cell, workers int) []Result {
 // to completion (their results are still reported and checkpointed), and
 // every never-issued cell comes back with Err == ErrSkipped and
 // Attempts == 0 — partial results, not a dead sweep.
-//
-// With Options.Lanes > 1, cells sharing a nonzero Cell.Group execute as
-// lanes of one network.Ensemble (PlanUnits shows the batching): one
-// engine pass simulates up to Lanes seeds, each lane bit-identical to
-// its standalone run. A batch that dies — one lane panics, the group
-// deadline fires — is discarded whole and every one of its cells re-runs
-// standalone with its own budgets, so grouping never changes which cells
-// succeed, what their rows say, or how failures are reported; it only
-// changes wall-clock. Cancellation drains at unit granularity: a claimed
-// batch finishes all its lanes.
 func RunCellsCtx(ctx context.Context, cells []Cell, opts Options) []Result {
 	out := make([]Result, len(cells))
-	units := PlanUnits(cells, opts.Lanes)
-	slots := make([]workerSlot, Workers(opts.Workers))
-	DoWorkerCtx(ctx, len(units), opts.Workers, func(u, slot int) {
-		unit := units[u]
-		if len(unit) > 1 {
-			if runEnsembleUnit(&slots[slot].ens, cells, unit, &opts, slot, out) {
-				return
-			}
-			// The batch died — a lane panicked, the group deadline fired.
-			// Per-lane isolation: every lane re-runs standalone below,
-			// with its own deadline and its full retry budget, so one bad
-			// lane can never take its siblings' results down.
-		}
-		for _, i := range unit {
-			runSingle(&slots[slot].net, &cells[i], &opts, i, slot, out)
-		}
+	slots := make([]*network.Network, Workers(opts.Workers))
+	DoWorkerCtx(ctx, len(cells), opts.Workers, func(i, slot int) {
+		runSingle(&slots[slot], &cells[i], &opts, i, slot, out)
 	})
 	for i := range out {
 		if out[i].Attempts == 0 {
@@ -336,17 +294,9 @@ func RunCellsCtx(ctx context.Context, cells []Cell, opts Options) []Result {
 	return out
 }
 
-// workerSlot is one worker's reusable engine state: a standalone network
-// for singleton cells and an ensemble for grouped ones, each rebuilt
-// lazily and re-targeted in place across the jobs the slot runs.
-type workerSlot struct {
-	net *network.Network
-	ens *network.Ensemble
-}
-
 // runSingle runs one cell through its full attempt loop on the slot's
-// standalone engine, landing the result (and the OnResult checkpoint)
-// for cell index i.
+// engine, landing the result (and the OnResult checkpoint) for cell
+// index i.
 func runSingle(slotNet **network.Network, c *Cell, opts *Options, i, worker int, out []Result) {
 	retries := resolve(c.Retries, opts.Retries)
 	backoff := resolve(c.Backoff, opts.Backoff)
@@ -377,131 +327,6 @@ func runSingle(slotNet **network.Network, c *Cell, opts *Options, i, worker int,
 	if opts.OnResult != nil {
 		opts.OnResult(i, &out[i])
 	}
-}
-
-// PlanUnits partitions cell indices into execution units: each unit is
-// either one standalone cell (Group zero, or lanes disabled) or up to
-// `lanes` cells sharing a nonzero Group, to run as one ensemble batch.
-// Units are emitted in grid order — a group's chunks appear at its first
-// member's position — and the plan depends only on (cells, lanes), so
-// accounting recomputed by a caller always matches what ran.
-func PlanUnits(cells []Cell, lanes int) [][]int {
-	units := make([][]int, 0, len(cells))
-	if lanes <= 1 {
-		for i := range cells {
-			units = append(units, []int{i})
-		}
-		return units
-	}
-	members := map[int][]int{}
-	for i := range cells {
-		if g := cells[i].Group; g != 0 {
-			members[g] = append(members[g], i)
-		}
-	}
-	done := map[int]bool{}
-	for i := range cells {
-		g := cells[i].Group
-		if g == 0 {
-			units = append(units, []int{i})
-			continue
-		}
-		if done[g] {
-			continue
-		}
-		done[g] = true
-		for idx := members[g]; len(idx) > 0; {
-			k := lanes
-			if k > len(idx) {
-				k = len(idx)
-			}
-			units = append(units, idx[:k])
-			idx = idx[k:]
-		}
-	}
-	return units
-}
-
-// runEnsembleUnit attempts one grouped unit as a single ensemble batch:
-// build or re-target the slot's ensemble to the unit's configurations,
-// attach each lane's Setup, run the shared warmup/measure schedule once
-// across all lanes, and land every lane's result. Returns false — with
-// no results landed and the slot's ensemble discarded — if anything
-// panics (one bad lane, an aborted group deadline): the caller then runs
-// each cell standalone, which preserves exact per-cell failure reporting
-// at the cost of re-simulating the batch. The group deadline covers the
-// whole batch; a batch aborted by it falls back to standalone runs where
-// each cell gets its own fresh per-attempt deadline, so a cell is never
-// failed by its siblings' wall-clock.
-func runEnsembleUnit(slotEns **network.Ensemble, cells []Cell, unit []int, opts *Options, worker int, out []Result) (ok bool) {
-	lead := &cells[unit[0]]
-	deadline := resolve(lead.Deadline, opts.Deadline)
-	res, err := runEnsembleBatch(slotEns, cells, unit, deadline)
-	if err != nil {
-		*slotEns = nil
-		return false
-	}
-	for j, i := range unit {
-		res[j].Worker = worker
-		out[i] = res[j]
-		if opts.OnResult != nil {
-			opts.OnResult(i, &out[i])
-		}
-	}
-	return true
-}
-
-// runEnsembleBatch runs one attempt of a grouped unit, converting any
-// panic (bad configuration, tripped watchdog, failed audit, cooperative
-// abort) into an error exactly as runCell does for a standalone cell.
-func runEnsembleBatch(slotEns **network.Ensemble, cells []Cell, unit []int, deadline time.Duration) (res []Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if abort, ok := r.(*network.AbortError); ok {
-				err = fmt.Errorf("%w after %v (batch aborted at cycle %d)", ErrDeadline, deadline, abort.Cycle)
-			} else if e, ok := r.(error); ok {
-				err = fmt.Errorf("batch panicked: %w", e)
-			} else {
-				err = fmt.Errorf("batch panicked: %v", r)
-			}
-		}
-	}()
-	cfgs := make([]network.Config, len(unit))
-	for j, i := range unit {
-		cfgs[j] = cells[i].Config
-	}
-	e := *slotEns
-	if e == nil {
-		var nerr error
-		if e, nerr = network.NewEnsemble(cfgs); nerr != nil {
-			panic(nerr)
-		}
-		*slotEns = e
-	} else if rerr := e.Reset(cfgs); rerr != nil {
-		panic(rerr)
-	}
-	if deadline > 0 {
-		var flag atomic.Bool
-		e.SetAbort(&flag)
-		timer := time.AfterFunc(deadline, func() { flag.Store(true) })
-		defer timer.Stop()
-	}
-	aux := make([]any, len(unit))
-	for j, i := range unit {
-		if cells[i].Setup != nil {
-			aux[j] = cells[i].Setup(e.Lane(j))
-		}
-	}
-	lead := &cells[unit[0]]
-	t0 := time.Now()
-	e.WarmupAndMeasure(lead.Warmup, lead.Measure)
-	per := time.Since(t0) / time.Duration(len(unit))
-	res = make([]Result, len(unit))
-	for j := range unit {
-		n := e.Lane(j)
-		res[j] = Result{Stats: n.Stats(), End: n.Now(), Aux: aux[j], Attempts: 1, Elapsed: per}
-	}
-	return res, nil
 }
 
 // runCell runs one attempt of a cell on the slot's engine (building or

@@ -508,3 +508,73 @@ func TestRunDurableVerifyCatchesCorruption(t *testing.T) {
 		t.Fatalf("verification missed the forged entry: verified %d bad %v", rep.Verified, rep.VerifyBad)
 	}
 }
+
+// TestRunDurableVerifyProbedGrid pins -cache-verify on a probed
+// scenario: a re-executed row carries its telemetry timeline and a
+// cache-served row never does, so the verification pass must not count
+// the timeline as a divergence.
+func TestRunDurableVerifyProbedGrid(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := telemetryBase + "[telemetry]\ninterval = 400\n"
+	g := gridOf(t, src)
+	if _, err := g.RunDurable(context.Background(), DurableOpts{Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := gridOf(t, src).RunDurable(context.Background(),
+		DurableOpts{Store: st, VerifySample: g.Size()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Executed != 0 || rep.Verified != g.Size() || len(rep.VerifyBad) != 0 {
+		t.Fatalf("verify pass on probed grid: executed %d, verified %d of %d, bad %v",
+			rep.Executed, rep.Verified, g.Size(), rep.VerifyBad)
+	}
+}
+
+// TestCacheKeyGolden pins the cache keys of three grids to recorded
+// digests: a store filled by an earlier build must keep serving every
+// row after a change. A failure here means the change
+// retires every cached row; only make it on purpose, with the new
+// digests, when the cell schema or the simulator's results changed.
+func TestCacheKeyGolden(t *testing.T) {
+	closed := `
+pattern = "uniform"
+topology = "mesh_x1"
+qos = ["pvc"]
+seeds = [7]
+warmup = 200
+measure = 800
+[workload]
+mode = "closed"
+outstanding = [4]
+think_times = [0]
+`
+	for name, tc := range map[string]struct {
+		toml string
+		want []string
+	}{
+		"open": {cacheBase, []string{
+			"4d22b9a64d3d1eaf8480516eec3474560e31a176bbd0cc6b95069164f118a375",
+		}},
+		"closed": {closed, []string{
+			"798c6c19d9d0c45d6386145ad83f8b6849802f25232aed1642228ab87cd65eb7",
+		}},
+		"telemetry": {telemetryBase + "[telemetry]\ninterval = 400\n", []string{
+			"4d532f89d3aeb38d4684ea593728ec7fadd2ac3296ba4369e1e17022bdb8ffc5",
+			"11f0309237c2a9b126f539b6fb7633f477eb849932f1fc19a95582d94037444e",
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			got, err := gridOf(t, tc.toml).Keys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("cache keys moved:\ngot  %q\nwant %q", got, tc.want)
+			}
+		})
+	}
+}

@@ -122,9 +122,8 @@ func (t *GeoTable) Draw(r *RNG) int64 {
 }
 
 // geoTables shares built tables across samplers: a sweep's sources
-// overwhelmingly reuse a handful of rates, and ensemble lanes reuse their
-// standalone cells' exactly. Keyed by the probability's bits; reads are
-// lock-free after the first build of each rate.
+// overwhelmingly reuse a handful of rates. Keyed by the probability's
+// bits; reads are lock-free after the first build of each rate.
 var geoTables sync.Map
 
 // SharedGeoTable returns the (possibly cached) table for p. Tables are

@@ -19,10 +19,9 @@
 // the unprobed ones — on the one path the allocation and ns/cycle
 // gates pin. Polling between Run calls is worse: the idle-skip engine
 // does not visit every cycle, so a wall-clock or driver-paced sampler
-// observes different cycles depending on whether skipping is enabled,
-// how cells are batched into ensemble lanes, and how workers
-// interleave — the same simulation would produce different timelines
-// on different machines.
+// observes different cycles depending on whether skipping is enabled
+// and how workers interleave — the same simulation would produce
+// different timelines on different machines.
 //
 // Scheduling the probe as a first-class event on the calendar ring —
 // the same ring evFault and evWatchdog already ride — dissolves all of
@@ -37,13 +36,13 @@
 //   - Determinism is inherited, not re-proved. The probe fires at an
 //     exact simulated cycle, in the engine's deterministic event
 //     order, so the timeline is a pure function of the cell — the same
-//     bytes for every worker count and lane grouping.
+//     bytes for every worker count.
 //   - Probing cannot perturb. The handler only reads engine state
 //     (counter deltas and occupancy scans); it schedules nothing but
 //     its own next tick, which the event census tracks as bookkeeping
 //     (sysEvents) so a drained network still terminates. A probed run
 //     is bit-identical to an unprobed one, pinned by fingerprint A/B
-//     tests across topologies, QoS modes, skip settings and lanes.
+//     tests across topologies, QoS modes and skip settings.
 //
 // Every buffer the sampler writes during a run is preallocated at
 // Attach time from the declared horizon, so an installed sampler keeps

@@ -88,54 +88,6 @@ func TestTimelineDeterministicAcrossIdleSkip(t *testing.T) {
 	}
 }
 
-// TestProbedEnsembleLaneEquivalentToStandalone runs the same cell
-// standalone and as one lane of a lockstep ensemble, both probed, and
-// requires identical fingerprints and byte-identical timelines: lane
-// batching is pure scheduling, and the probe schedule rides inside each
-// lane's own event ring.
-func TestProbedEnsembleLaneEquivalentToStandalone(t *testing.T) {
-	mk := func(seed uint64) network.Config {
-		w := traffic.UniformRandom(topology.ColumnNodes, 0.03)
-		cfg := qos.DefaultConfig(w.TotalFlows())
-		return network.Config{Kind: topology.MeshX1, QoS: cfg, Workload: w, Seed: seed}
-	}
-	probe := func(n *network.Network) *telemetry.Sampler {
-		return telemetry.Attach(n, telemetry.Options{Interval: 500, Horizon: 12_000})
-	}
-
-	// Standalone probed run of the seed-3 cell.
-	solo := network.MustNew(mk(3))
-	soloS := probe(solo)
-	solo.WarmupAndMeasure(4_000, 8_000)
-	soloFP := workload.Fingerprint(solo.Stats(), solo.Now())
-	soloTL, err := json.Marshal(soloS.Timeline())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The same cell as lane 0 of a two-lane ensemble (lane 1 differs by
-	// seed, as the runner's seed-axis grouping produces).
-	ens, err2 := network.NewEnsemble([]network.Config{mk(3), mk(4)})
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	laneS := probe(ens.Lane(0))
-	probe(ens.Lane(1))
-	ens.WarmupAndMeasure(4_000, 8_000)
-	laneFP := workload.Fingerprint(ens.Lane(0).Stats(), ens.Lane(0).Now())
-	laneTL, err := json.Marshal(laneS.Timeline())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if soloFP != laneFP {
-		t.Errorf("ensemble lane diverged from standalone: solo %s, lane %s", soloFP, laneFP)
-	}
-	if !bytes.Equal(soloTL, laneTL) {
-		t.Errorf("lane timeline differs from standalone:\nsolo: %s\nlane: %s", soloTL, laneTL)
-	}
-}
-
 // TestStepAllocationFreeWithSamplerInstalled extends the engine's
 // zero-alloc pin to an instrumented run: every buffer a sampler writes
 // during the run is preallocated at Attach, so Step must stay at
