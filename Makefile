@@ -32,10 +32,11 @@ race:
 	go test -race ./...
 
 # determinism is CI's named gate for the engine's core contract: the
-# idle-skip equivalence and worker-count/skip determinism suites, run
-# twice (the pattern covers ...Equivalent..., ...Determinism and
-# ...Deterministic... test names across network/runner/experiments/
-# scenario/sim).
+# idle-skip equivalence suites (fast-forward against the tick reference,
+# network.Config.DisableIdleSkip, which only tests and `noctool bench`
+# set) and the worker-count determinism suites, run twice (the pattern
+# covers ...Equivalent..., ...Determinism and ...Deterministic... test
+# names across network/runner/experiments/scenario/sim).
 determinism:
 	go test -run 'Equivalen|Determin' -count=2 ./...
 
@@ -144,11 +145,16 @@ metrics-smoke:
 	grep 'progress:' /tmp/tanoq-metrics.err
 	@echo "metrics-smoke: timeline golden matched; /metrics exposition matched modulo values; pprof answered"
 
-# fuzz-smoke runs the scenario-decoder fuzzer for a short budget (CI's
-# fuzz step); `go test -fuzz FuzzScenarioDecode ./internal/scenario` runs
-# it open-ended.
+# fuzz-smoke runs the scenario-decoder and trace-decoder fuzzers for a
+# short budget each (CI's fuzz step); `go test -fuzz FuzzScenarioDecode
+# ./internal/scenario` or `go test -fuzz FuzzDecodeTrace
+# ./internal/workload` runs one open-ended. The trace fuzzer's minimizer
+# is capped at 100 runs per new input: inputs grown from the 6 KB example
+# capture otherwise take the whole budget to minimize, and the fuzzer
+# stops executing new inputs after its first few seconds.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario
+	go test -run '^$$' -fuzz FuzzDecodeTrace -fuzztime 10s -fuzzminimizetime 100x ./internal/workload
 
 # bench runs the repository benchmark suite once through `go test`.
 bench:

@@ -156,11 +156,10 @@ func BenchmarkChipCost(b *testing.B) {
 }
 
 // benchFig4 regenerates the quick Figure 4(a) grid through the experiment
-// runner with the given worker-pool size and idle-skip setting.
-func benchFig4(b *testing.B, workers int, skip bool) {
+// runner with the given worker-pool size.
+func benchFig4(b *testing.B, workers int) {
 	p := experiments.QuickParams()
 	p.Workers = workers
-	p.DisableIdleSkip = !skip
 	var lat float64
 	for i := 0; i < b.N; i++ {
 		series := experiments.Fig4(experiments.Uniform, experiments.QuickFig4Rates(), p)
@@ -171,19 +170,12 @@ func benchFig4(b *testing.B, workers int, skip bool) {
 
 // BenchmarkFig4Sequential is the sequential half of the runner speedup
 // pair: the same cell grid as BenchmarkFig4Parallel on one worker.
-func BenchmarkFig4Sequential(b *testing.B) { benchFig4(b, 1, true) }
+func BenchmarkFig4Sequential(b *testing.B) { benchFig4(b, 1) }
 
 // BenchmarkFig4Parallel fans the grid across one worker per CPU. The
 // ns/op ratio against BenchmarkFig4Sequential is the runner's wall-clock
 // speedup; results are asserted bit-identical in the experiments tests.
-func BenchmarkFig4Parallel(b *testing.B) { benchFig4(b, 0, true) }
-
-// BenchmarkFig4SequentialTicked is the same sequential grid with idle
-// skipping force-disabled — the tick-driven engine. Its ns/op ratio
-// against BenchmarkFig4Sequential is the grid-level cost of ticking
-// through idle cycles (results are bit-identical either way, asserted in
-// the experiments tests).
-func BenchmarkFig4SequentialTicked(b *testing.B) { benchFig4(b, 1, false) }
+func BenchmarkFig4Parallel(b *testing.B) { benchFig4(b, 0) }
 
 // BenchmarkEngineCycles measures raw simulator speed: cycles simulated
 // per second for each topology at steady state, below every topology's

@@ -20,8 +20,10 @@ import (
 // benchReport is the machine-readable performance snapshot `noctool bench`
 // writes to BENCH_<date>.json, tracking the engine's perf trajectory
 // PR over PR: raw per-cycle engine cost, wall-clock for the quick Figure 4
-// grid (sequential vs parallel, idle skipping on vs off), and the
-// low-load cells where the event-driven engine's O(work) behaviour shows.
+// grid (sequential vs parallel), and the low-load cells where the
+// event-driven engine's O(work) behaviour shows. Only the engine-level
+// sections compare against the tick-driven reference
+// (network.Config.DisableIdleSkip); the grid runs as every CLI run does.
 type benchReport struct {
 	Date       string `json:"date"`
 	GoVersion  string `json:"go_version"`
@@ -66,9 +68,8 @@ type stepBench struct {
 
 // gridBench is one full quick-Figure-4-grid regeneration.
 type gridBench struct {
-	Workers  int     `json:"workers"` // 0 = one per CPU
-	SkipIdle bool    `json:"skip_idle"`
-	WallMs   float64 `json:"wall_ms"`
+	Workers int     `json:"workers"` // 0 = one per CPU
+	WallMs  float64 `json:"wall_ms"`
 }
 
 // cellBench is one low-load simulation cell, timed with idle skipping on
@@ -167,22 +168,17 @@ func runBench(p experiments.Params, o benchOpts) error {
 	}
 
 	if !o.engineOnly {
-		fmt.Println("bench: quick Fig4 grid wall-clock (workers x idle skip)")
-		quick := experiments.QuickParams()
-		quick.Seed = p.Seed
+		fmt.Println("bench: quick Fig4 grid wall-clock (sequential vs one worker per CPU)")
 		for _, workers := range []int{1, 0} {
-			for _, skip := range []bool{true, false} {
-				g := quick
-				g.Workers = workers
-				g.DisableIdleSkip = !skip
-				rep.QuickFig4Grid = append(rep.QuickFig4Grid, gridBench{
-					Workers:  workers,
-					SkipIdle: skip,
-					WallMs: bestOf(3, func() {
-						experiments.Fig4(experiments.Uniform, experiments.QuickFig4Rates(), g)
-					}),
-				})
-			}
+			g := experiments.QuickParams()
+			g.Seed = p.Seed
+			g.Workers = workers
+			rep.QuickFig4Grid = append(rep.QuickFig4Grid, gridBench{
+				Workers: workers,
+				WallMs: bestOf(3, func() {
+					experiments.Fig4(experiments.Uniform, experiments.QuickFig4Rates(), g)
+				}),
+			})
 		}
 
 		fmt.Println("bench: low-load cells, idle skipping on vs off")

@@ -27,15 +27,15 @@ func newFlagSet(name, synopsis, body string) *flag.FlagSet {
 }
 
 // simFlags are the simulation knobs shared by every cell-running
-// subcommand (sweep, degrade, trace, bench, and the experiment drivers):
-// the RNG seed, the warmup/measure schedule, worker fan-out, idle
-// skipping and the quick scale.
+// subcommand (sweep, degrade, timeline, trace, bench, and the experiment
+// drivers): the RNG seed, the warmup/measure schedule, worker fan-out and
+// the quick scale. Idle fast-forward has no flag: it is always on, and
+// results are bit-identical to ticking every cycle.
 type simFlags struct {
 	seed     uint64
 	warmup   int
 	measure  int
 	parallel int
-	skip     bool
 	quick    bool
 }
 
@@ -47,7 +47,6 @@ func addSimFlags(fs *flag.FlagSet) *simFlags {
 	fs.IntVar(&s.warmup, "warmup", 20_000, "warmup cycles before measurement")
 	fs.IntVar(&s.measure, "measure", 100_000, "measurement window in cycles")
 	fs.IntVar(&s.parallel, "parallel", 0, "simulation workers (0 = one per CPU, 1 = sequential; results identical)")
-	fs.BoolVar(&s.skip, "skip", true, "fast-forward over idle cycle windows (results identical either way)")
 	fs.BoolVar(&s.quick, "quick", false, "scale runs down for a fast smoke pass")
 	return s
 }
@@ -75,7 +74,6 @@ func (s *simFlags) params(explicit map[string]bool) experiments.Params {
 		}
 	}
 	p.Workers = s.parallel
-	p.DisableIdleSkip = !s.skip
 	return p
 }
 
@@ -90,9 +88,9 @@ func (m *multiFlag) Set(v string) error {
 }
 
 // layerOpts names the CLI-side layers of the scenario resolver pipeline,
-// shared by sweep, degrade and trace record. Precedence, lowest first:
-// include chain < file < profile < TANOQ_SET_* env < -quick <
-// explicit -seed/-warmup/-measure < -set.
+// shared by sweep, degrade, timeline and trace record. Precedence,
+// lowest first: include chain < file or built-in < profile <
+// TANOQ_SET_* env < -quick < explicit -seed/-warmup/-measure < -set.
 type layerOpts struct {
 	sim      *simFlags
 	explicit map[string]bool
@@ -101,42 +99,18 @@ type layerOpts struct {
 	set      []string
 }
 
-// loadLayered resolves a scenario argument ("file", "file#profile", or a
-// built-in name) through the layered resolver. Built-ins predate the raw
-// key-value tree, so only the dedicated schedule flags apply to them;
-// profiles and -set need a file. The Resolution is nil for built-ins.
+// loadLayered resolves a scenario argument ("file", "file#profile",
+// "builtin" or "builtin#profile") through the layered resolver: the file
+// or built-in root, then every CLI-side layer above it.
 func loadLayered(arg string, lo layerOpts) (*scenario.Scenario, *scenario.Resolution, error) {
 	path, prof := scenario.SplitProfile(arg)
 	if lo.profile != "" {
 		prof = lo.profile
 	}
-	if !fileScenario(path) {
-		if prof != "" || len(lo.set) > 0 {
-			return nil, nil, fmt.Errorf("scenario %q is a built-in: -profile and -set need a scenario file", path)
-		}
-		sc, err := scenario.Load(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		if lo.sim.quick {
-			q := experiments.QuickParams()
-			sc.Warmup, sc.Measure = q.Warmup, q.Measure
-		}
-		if lo.explicit["seed"] {
-			sc.Seeds = []uint64{lo.params.Seed}
-		}
-		if lo.explicit["warmup"] {
-			sc.Warmup = lo.params.Warmup
-		}
-		if lo.explicit["measure"] {
-			sc.Measure = lo.params.Measure
-		}
-		if err := sc.Validate(); err != nil {
-			return nil, nil, err
-		}
-		return sc, nil, nil
-	}
 	layers := []scenario.Layer{scenario.FileLayer(path)}
+	if !fileScenario(path) {
+		layers[0] = scenario.BuiltinLayer(path)
+	}
 	if prof != "" {
 		layers = append(layers, scenario.ProfileLayer(prof))
 	}

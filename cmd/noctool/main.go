@@ -12,11 +12,12 @@
 //	sweep <scenario>[#profile]
 //	            expand and run a declarative scenario file (.json/.toml,
 //	            see internal/scenario) or built-in scenario name. Files
-//	            resolve through the layered pipeline — defaults < include
-//	            chain < file < -profile (or a #profile suffix) <
-//	            TANOQ_SET_* environment < -quick/-seed/-warmup/-measure <
-//	            -set key=value — and -explain prints the resolved keys
-//	            with per-key provenance instead of running. With -cache
+//	            and built-ins alike resolve through the layered pipeline
+//	            — defaults < include chain < file or built-in < -profile
+//	            (or a #profile suffix) < TANOQ_SET_* environment <
+//	            -quick/-seed/-warmup/-measure < -set key=value — and
+//	            -explain prints the resolved keys with per-key
+//	            provenance instead of running. With -cache
 //	            (or cache = true in the scenario's [run] table) the sweep
 //	            runs durably: cell results are memoized in a
 //	            content-addressed store under -cache-dir, completed cells
@@ -63,7 +64,8 @@
 //	            -ldflags; "dev" otherwise) that is embedded in cache
 //	            keys, BENCH_*.json and v2 trace headers
 //
-// Experiments (no subcommand; shared simulation flags apply):
+// Experiments (no subcommand; the shared simulation flags -seed,
+// -warmup, -measure, -parallel and -quick apply):
 //
 //	fig3     router area overhead per topology
 //	fig4a    latency vs injection rate, uniform random
@@ -83,6 +85,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -116,7 +119,7 @@ func main() {
 	default:
 		// Anything else is the experiment driver, which keeps the original
 		// flags-first syntax (`noctool -quick all`).
-		err = experimentsMain(args)
+		err = experimentsMain(args, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "noctool: %v\n", err)
@@ -130,9 +133,10 @@ func usage() {
 
 subcommands (run noctool <cmd> -h for that command's flags):
   sweep <scenario>[#profile]    expand and run a scenario file or built-in;
-                                layered resolution (includes, profiles,
-                                TANOQ_SET_* env, -set), -explain provenance,
-                                durable -cache/-resume execution
+                                layered resolution for both (includes,
+                                profiles, TANOQ_SET_* env, -set), -explain
+                                provenance, durable -cache/-resume
+                                execution
   degrade <scenario>[#profile]  faulted scenario vs fault-free baseline
   timeline <scenario>[#profile] run with telemetry probes; per-interval
                                 time-series table, heatmap, JSON/CSV
@@ -146,8 +150,9 @@ experiments: fig3 fig4a fig4b preempt table2 fig5 fig6 fig7 chip motivation
 }
 
 // experimentsMain runs the paper's experiment drivers, preserving the
-// original `noctool [flags] <experiment>...` syntax.
-func experimentsMain(args []string) error {
+// original `noctool [flags] <experiment>...` syntax, and writes their
+// tables (or CSV) to w.
+func experimentsMain(args []string, w io.Writer) error {
 	fs := newFlagSet("noctool", "noctool [flags] <experiment>...",
 		"experiments: fig3 fig4a fig4b preempt table2 fig5 fig6 fig7 chip motivation ablate closed all")
 	sim := addSimFlags(fs)
@@ -165,21 +170,21 @@ func experimentsMain(args []string) error {
 		case "sweep", "degrade", "timeline", "trace", "bench", "version":
 			return fmt.Errorf("subcommand flags now follow the subcommand: noctool %s [flags] ...", name)
 		}
-		if err := run(name, p, sim.quick, *csv); err != nil {
+		if err := run(w, name, p, sim.quick, *csv); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func run(name string, p experiments.Params, quick, csv bool) error {
+func run(w io.Writer, name string, p experiments.Params, quick, csv bool) error {
 	switch name {
 	case "fig3":
 		rows := experiments.Fig3()
 		if csv {
-			fmt.Print(experiments.Fig3CSV(rows))
+			fmt.Fprint(w, experiments.Fig3CSV(rows))
 		} else {
-			fmt.Println(experiments.RenderFig3(rows))
+			fmt.Fprintln(w, experiments.RenderFig3(rows))
 		}
 	case "fig4a", "fig4b":
 		pattern := experiments.Uniform
@@ -192,12 +197,12 @@ func run(name string, p experiments.Params, quick, csv bool) error {
 		}
 		series := experiments.Fig4(pattern, rates, p)
 		if csv {
-			fmt.Print(experiments.Fig4CSV(series))
+			fmt.Fprint(w, experiments.Fig4CSV(series))
 		} else {
-			fmt.Println(experiments.RenderFig4(pattern, series))
+			fmt.Fprintln(w, experiments.RenderFig4(pattern, series))
 		}
 	case "preempt":
-		fmt.Println(experiments.RenderSaturationPreemptions(experiments.SaturationPreemptions(p)))
+		fmt.Fprintln(w, experiments.RenderSaturationPreemptions(experiments.SaturationPreemptions(p)))
 	case "table2":
 		tp := experiments.Table2Params()
 		if quick {
@@ -207,64 +212,64 @@ func run(name string, p experiments.Params, quick, csv bool) error {
 		tp.Workers = p.Workers
 		rows := experiments.Table2(tp)
 		if csv {
-			fmt.Print(experiments.Table2CSV(rows))
+			fmt.Fprint(w, experiments.Table2CSV(rows))
 		} else {
-			fmt.Println(experiments.RenderTable2(rows))
+			fmt.Fprintln(w, experiments.RenderTable2(rows))
 		}
 	case "fig5":
 		for _, wl := range []experiments.Adversarial{experiments.Workload1, experiments.Workload2} {
 			rows := experiments.Fig5(wl, p)
 			if csv {
-				fmt.Print(experiments.Fig5CSV(rows))
+				fmt.Fprint(w, experiments.Fig5CSV(rows))
 			} else {
-				fmt.Println(experiments.RenderFig5(wl, rows))
+				fmt.Fprintln(w, experiments.RenderFig5(wl, rows))
 			}
 		}
 	case "fig6":
 		for _, wl := range []experiments.Adversarial{experiments.Workload1, experiments.Workload2} {
 			rows := experiments.Fig6(wl, p)
 			if csv {
-				fmt.Print(experiments.Fig6CSV(rows))
+				fmt.Fprint(w, experiments.Fig6CSV(rows))
 			} else {
-				fmt.Println(experiments.RenderFig6(wl, rows))
+				fmt.Fprintln(w, experiments.RenderFig6(wl, rows))
 			}
 		}
 	case "fig7":
 		rows := experiments.Fig7()
 		if csv {
-			fmt.Print(experiments.Fig7CSV(rows))
+			fmt.Fprint(w, experiments.Fig7CSV(rows))
 		} else {
-			fmt.Println(experiments.RenderFig7(rows))
+			fmt.Fprintln(w, experiments.RenderFig7(rows))
 		}
 	case "chip":
-		fmt.Println(experiments.RenderChipCost(experiments.ChipCost()))
+		fmt.Fprintln(w, experiments.RenderChipCost(experiments.ChipCost()))
 	case "closed":
 		rows := experiments.ClosedLoop(p)
 		if csv {
-			fmt.Print(experiments.ClosedLoopCSV(rows))
+			fmt.Fprint(w, experiments.ClosedLoopCSV(rows))
 		} else {
-			fmt.Println(experiments.RenderClosedLoop(rows))
+			fmt.Fprintln(w, experiments.RenderClosedLoop(rows))
 		}
 	case "motivation":
 		rows := experiments.Motivation(topology.MeshX1, p)
-		fmt.Println(experiments.RenderMotivation(topology.MeshX1, rows))
+		fmt.Fprintln(w, experiments.RenderMotivation(topology.MeshX1, rows))
 	case "ablate":
-		fmt.Println(experiments.RenderAblation(
+		fmt.Fprintln(w, experiments.RenderAblation(
 			"Ablation: PVC frame duration (hotspot fairness, DPS)", "frame",
 			experiments.AblateFrame(topology.DPS, experiments.DefaultFrameSweep, p)))
-		fmt.Println(experiments.RenderAblation(
+		fmt.Fprintln(w, experiments.RenderAblation(
 			"Ablation: priority quantum (hotspot fairness, DPS)", "quantum",
 			experiments.AblateQuantum(topology.DPS, experiments.DefaultQuantumSweep, p)))
-		fmt.Println(experiments.RenderAblation(
+		fmt.Fprintln(w, experiments.RenderAblation(
 			"Ablation: retransmission window (single fast distant flow, mesh x1)", "window",
 			experiments.AblateWindow(topology.MeshX1, experiments.DefaultWindowSweep, p)))
-		fmt.Println(experiments.RenderMarginAblation(
+		fmt.Fprintln(w, experiments.RenderMarginAblation(
 			experiments.AblateMargin(topology.MeshX1, experiments.DefaultMarginSweep, p)))
-		fmt.Println(experiments.RenderQuotaAblation(
+		fmt.Fprintln(w, experiments.RenderQuotaAblation(
 			experiments.AblateQuota(topology.MeshX1, p)))
 	case "all":
 		for _, e := range []string{"fig3", "fig4a", "fig4b", "preempt", "table2", "fig5", "fig6", "fig7", "chip", "motivation"} {
-			if err := run(e, p, quick, csv); err != nil {
+			if err := run(w, e, p, quick, csv); err != nil {
 				return err
 			}
 		}

@@ -44,9 +44,10 @@ type sweepOpts struct {
 func sweepMain(args []string) error {
 	fs := newFlagSet("sweep", "noctool sweep [flags] <scenario>[#profile]",
 		`Expand and run a declarative scenario file (.json/.toml) or built-in
-scenario name. Files resolve through the layered pipeline — defaults <
-include chain < file < profile < TANOQ_SET_* env < schedule flags <
--set — and -explain prints every resolved key with its provenance.`)
+scenario name. Files and built-ins resolve through the layered pipeline
+— defaults < include chain < file or built-in < profile < TANOQ_SET_*
+env < schedule flags < -set — and -explain prints every resolved key
+with its provenance.`)
 	sim := addSimFlags(fs)
 	csv := fs.Bool("csv", false, "emit CSV instead of tables")
 	out := fs.String("out", "", "output path for the sweep's JSON report")
@@ -90,8 +91,8 @@ func degradeMain(args []string) error {
 	fs := newFlagSet("degrade", "noctool degrade [flags] <scenario>[#profile]",
 		`Run a scenario with a [faults] table against its fault-free baseline
 and report per point the delivered fraction, retry/drop counts, victim
-slowdown and latency inflation per QoS mode. Scenario files resolve
-through the same layered pipeline as sweep.`)
+slowdown and latency inflation per QoS mode. Scenario files and
+built-ins resolve through the same layered pipeline as sweep.`)
 	sim := addSimFlags(fs)
 	csv := fs.Bool("csv", false, "emit CSV instead of tables")
 	out := fs.String("out", "", "output path for the degradation CSV")
@@ -129,9 +130,6 @@ func runSweep(pathOrName string, o sweepOpts) error {
 		return err
 	}
 	if o.explain {
-		if res == nil {
-			return fmt.Errorf("scenario %q is a built-in: -explain needs a scenario file (built-ins have no layers)", pathOrName)
-		}
 		fmt.Print(res.Explain())
 		return nil
 	}
@@ -145,10 +143,7 @@ func runSweep(pathOrName string, o sweepOpts) error {
 	// explicit `-retries 0` means "no retries", which the runner spells
 	// as a negative budget; 0 there means "use the default single retry".
 	opts := scenario.DurableOpts{
-		RunOpts: scenario.RunOpts{
-			Workers:         o.layers.params.Workers,
-			DisableIdleSkip: o.layers.params.DisableIdleSkip,
-		},
+		RunOpts:      scenario.RunOpts{Workers: o.layers.params.Workers},
 		Deadline:     sc.Deadline,
 		Retries:      sc.Retries,
 		Backoff:      sc.Backoff,
@@ -296,10 +291,7 @@ func runDegrade(pathOrName string, o sweepOpts) error {
 	if err != nil {
 		return err
 	}
-	rows, err := scenario.Degrade(sc, scenario.RunOpts{
-		Workers:         o.layers.params.Workers,
-		DisableIdleSkip: o.layers.params.DisableIdleSkip,
-	})
+	rows, err := scenario.Degrade(sc, scenario.RunOpts{Workers: o.layers.params.Workers})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -93,10 +94,13 @@ func runTimeline(pathOrName string, o timelineOpts) error {
 	if err != nil {
 		return err
 	}
-	results := grid.Run(scenario.RunOpts{
-		Workers:         o.layers.params.Workers,
-		DisableIdleSkip: o.layers.params.DisableIdleSkip,
+	rep, err := grid.RunDurable(context.Background(), scenario.DurableOpts{
+		RunOpts: scenario.RunOpts{Workers: o.layers.params.Workers},
 	})
+	if err != nil {
+		return err
+	}
+	results := rep.Results
 
 	if o.outPath != "" {
 		if err := writeTimelines(o.outPath, results); err != nil {

@@ -26,10 +26,11 @@ type traceOpts struct {
 func traceMain(args []string) error {
 	fs := newFlagSet("trace", "noctool trace [flags] record <scenario>[#profile] | replay <file> | info <file>",
 		`record captures a single-cell scenario's injection stream into a binary
-trace and prints its delivery fingerprint (scenario files resolve through
-the same layered pipeline as sweep); replay re-runs a recorded trace in
-the recorded cell; info prints a trace's header and record stats
-(-stats adds a per-flow breakdown of record counts and cycle spans).`)
+trace and prints its delivery fingerprint (scenario files and built-ins
+resolve through the same layered pipeline as sweep); replay re-runs a
+recorded trace in the recorded cell; info prints a trace's header and
+record stats (-stats adds a per-flow breakdown of record counts and cycle
+spans).`)
 	sim := addSimFlags(fs)
 	out := fs.String("out", "", "output path for the recorded trace")
 	profile := fs.String("profile", "", "record: named [profiles.<name>] patch to apply (overrides a #profile suffix)")
@@ -58,7 +59,7 @@ func runTrace(verb, target string, o traceOpts) error {
 	case "record":
 		return runTraceRecord(target, o)
 	case "replay":
-		return runTraceReplay(target, o)
+		return runTraceReplay(target)
 	case "info":
 		return runTraceInfo(target, o.stats)
 	default:
@@ -84,7 +85,6 @@ func runTraceRecord(scenarioArg string, o traceOpts) error {
 		return fmt.Errorf("trace record needs a single-cell scenario, got %d cells — narrow the axes (one pattern/topology/qos/seed/rate)", grid.Size())
 	}
 	cell := grid.Cell(0)
-	cell.Config.DisableIdleSkip = o.layers.params.DisableIdleSkip
 	n, err := network.New(cell.Config)
 	if err != nil {
 		return err
@@ -138,7 +138,7 @@ func runTraceRecord(scenarioArg string, o traceOpts) error {
 // the replay workload through the recorded schedule and prints the
 // delivery fingerprint. For an open-loop recording the fingerprint equals
 // the recorded run's exactly.
-func runTraceReplay(path string, o traceOpts) error {
+func runTraceReplay(path string) error {
 	tr, err := workload.ReadTraceFile(path)
 	if err != nil {
 		return err
@@ -148,7 +148,6 @@ func runTraceReplay(path string, o traceOpts) error {
 	if err != nil {
 		return err
 	}
-	cfg.DisableIdleSkip = o.layers.params.DisableIdleSkip
 	n, err := network.New(cfg)
 	if err != nil {
 		return err

@@ -39,7 +39,7 @@
 //     a first-class injection source behind the engine's arrival
 //     schedule — replaying an open-loop recording reproduces its
 //     delivery fingerprint exactly, and replays are bit-identical
-//     across worker counts and idle-skip settings (noctool trace
+//     across worker counts and equal to cycle-by-cycle runs (noctool trace
 //     record|replay|info, make trace-smoke),
 //   - Orion/CACTI-style analytical area and energy models at 32 nm
 //     (internal/physical),

@@ -139,7 +139,6 @@ func AblateWindow(kind topology.Kind, windows []int, p Params) []AblationRow {
 		cells[i] = p.cell(network.Config{
 			Kind: kind, Nodes: topology.ColumnNodes,
 			QoS: cfg, Workload: w, Seed: p.Seed,
-			DisableIdleSkip: p.DisableIdleSkip,
 		})
 	}
 	res := runner.RunCells(cells, p.Workers)

@@ -19,7 +19,9 @@ import (
 
 // Params controls simulation length, seeding and parallelism for the
 // dynamic experiments. The zero value is unusable; use DefaultParams or
-// QuickParams.
+// QuickParams. Every cell fast-forwards over provably idle cycle
+// windows, bit-identically to ticking every cycle (the engine's
+// equivalence tests pin that).
 type Params struct {
 	Seed    uint64
 	Warmup  int
@@ -29,15 +31,6 @@ type Params struct {
 	// bit-identical for every value — each simulation cell owns its
 	// seeded RNG, and the runner returns results in input order.
 	Workers int
-	// DisableIdleSkip forces every cell's engine to tick through each
-	// cycle instead of fast-forwarding over provably idle windows
-	// (network.Config.DisableIdleSkip, passed through verbatim).
-	// Skipping is mechanical — results are bit-identical either way —
-	// so this knob exists only for that proof, for debugging, and for
-	// benchmarking the tick-driven engine. Like the network field, the
-	// zero value selects the fast path, so plain Params literals cannot
-	// silently lose it.
-	DisableIdleSkip bool
 }
 
 // DefaultParams reproduces the paper-scale runs: a warmup transient plus
@@ -74,16 +67,14 @@ func defaultQoS(mode qos.Mode) qos.Config {
 }
 
 // netConfig assembles one shared-column network configuration — the unit
-// the parallel experiment runner fans out over — carrying p's seed and
-// idle-skip setting.
+// the parallel experiment runner fans out over — carrying p's seed.
 func (p Params) netConfig(kind topology.Kind, w traffic.Workload, mode qos.Mode) network.Config {
 	return network.Config{
-		Kind:            kind,
-		Nodes:           topology.ColumnNodes,
-		QoS:             defaultQoS(mode),
-		Workload:        w,
-		Seed:            p.Seed,
-		DisableIdleSkip: p.DisableIdleSkip,
+		Kind:     kind,
+		Nodes:    topology.ColumnNodes,
+		QoS:      defaultQoS(mode),
+		Workload: w,
+		Seed:     p.Seed,
 	}
 }
 

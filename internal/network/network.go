@@ -108,8 +108,9 @@ type Config struct {
 	// DisableIdleSkip forces Run/RunUntilDrained to tick through every
 	// cycle instead of fast-forwarding the clock over provably idle
 	// windows. Skipping is mechanical — results are bit-identical either
-	// way (TestIdleSkipMechanicallyEquivalent) — so the knob exists only
-	// for that proof and for debugging.
+	// way (TestIdleSkipMechanicallyEquivalent) — so this is the tick
+	// reference for the equivalence tests and `noctool bench`'s
+	// skip-versus-tick sections; no CLI flag or runner option sets it.
 	DisableIdleSkip bool
 
 	// Faults schedules hardware fault injection and configures end-to-end

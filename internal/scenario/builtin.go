@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -11,59 +12,64 @@ import (
 // The built-in registry re-expresses the paper's own experiment workloads
 // as scenarios, proving the declarative layer carries them: the Figure 4
 // load-latency sweeps map to pattern×rate grids, and the Section 5.3
-// adversarial workloads map to explicit flow lists. Each entry returns a
-// fresh value — callers may mutate the result (CLI overrides do).
-var builtins = map[string]func() *Scenario{
+// adversarial workloads map to explicit flow lists. Each entry builds the
+// raw key tree a scenario file would decode to, so a built-in resolves
+// through the same layer pipeline as a file (see BuiltinLayer).
+var builtins = map[string]func() map[string]any{
 	// Figure 4(a)/(b) at paper scale: every topology, PVC, 1–15 % rates.
-	"fig4a": func() *Scenario { return fig4("fig4a", "uniform", fig4Rates(), 20_000, 100_000) },
-	"fig4b": func() *Scenario { return fig4("fig4b", "tornado", fig4Rates(), 20_000, 100_000) },
+	"fig4a": func() map[string]any { return fig4("fig4a", "uniform", fig4Rates(), 20_000, 100_000) },
+	"fig4b": func() map[string]any { return fig4("fig4b", "tornado", fig4Rates(), 20_000, 100_000) },
 	// The -quick grids used by tests and benchmarks. The rate list and
 	// schedule mirror experiments.QuickFig4Rates/QuickParams; the
 	// scenario tests assert they stay in lockstep.
-	"fig4a-quick": func() *Scenario { return fig4("fig4a-quick", "uniform", quickRates(), 3_000, 15_000) },
-	"fig4b-quick": func() *Scenario { return fig4("fig4b-quick", "tornado", quickRates(), 3_000, 15_000) },
+	"fig4a-quick": func() map[string]any { return fig4("fig4a-quick", "uniform", quickRates(), 3_000, 15_000) },
+	"fig4b-quick": func() map[string]any { return fig4("fig4b-quick", "tornado", quickRates(), 3_000, 15_000) },
 	// Section 5.3's adversarial preemption workloads (Figures 5 and 6):
 	// explicit injector lists streaming at the hotspot.
-	"workload1": func() *Scenario {
-		sc := adversarial("workload1")
+	"workload1": func() map[string]any {
+		var flows []any
 		for n, rate := range traffic.Workload1Rates {
-			sc.Flows = append(sc.Flows, FlowSpec{Node: n, Injector: 0, Rate: rate, Dest: int(traffic.HotspotNode)})
+			flows = append(flows, hotspotFlow(n, 0, rate))
 		}
-		return sc
+		return adversarial("workload1", flows)
 	},
-	"workload2": func() *Scenario {
-		sc := adversarial("workload2")
+	"workload2": func() map[string]any {
+		var flows []any
 		far := topology.ColumnNodes - 1
 		for i, rate := range traffic.Workload2NodeRates {
-			sc.Flows = append(sc.Flows, FlowSpec{Node: far, Injector: i, Rate: rate, Dest: int(traffic.HotspotNode)})
+			flows = append(flows, hotspotFlow(far, i, rate))
 		}
-		sc.Flows = append(sc.Flows, FlowSpec{Node: far - 1, Injector: 0, Rate: traffic.Workload2ExtraRate, Dest: int(traffic.HotspotNode)})
-		return sc
+		flows = append(flows, hotspotFlow(far-1, 0, traffic.Workload2ExtraRate))
+		return adversarial("workload2", flows)
 	},
 }
 
-func fig4(name, pattern string, rates []float64, warmup, measure int) *Scenario {
-	return &Scenario{
-		Name:            name,
-		Patterns:        []string{pattern},
-		Topologies:      topology.Kinds(),
-		Rates:           rates,
-		Nodes:           topology.ColumnNodes,
-		Warmup:          warmup,
-		Measure:         measure,
-		RequestFraction: traffic.DefaultRequestFraction,
+// fig4 is a Figure 4 load-latency grid over every topology. Column height
+// and request fraction are the decoder's defaults.
+func fig4(name, pattern string, rates []float64, warmup, measure int) map[string]any {
+	return map[string]any{
+		"name":       name,
+		"patterns":   []string{pattern},
+		"topologies": []string{"all"},
+		"rates":      rates,
+		"warmup":     warmup,
+		"measure":    measure,
 	}
 }
 
-func adversarial(name string) *Scenario {
-	return &Scenario{
-		Name:            name,
-		Topologies:      topology.Kinds(),
-		Nodes:           topology.ColumnNodes,
-		Warmup:          20_000,
-		Measure:         100_000,
-		RequestFraction: traffic.DefaultRequestFraction,
+// adversarial is a Section 5.3 workload at paper scale.
+func adversarial(name string, flows []any) map[string]any {
+	return map[string]any{
+		"name":       name,
+		"topologies": []string{"all"},
+		"warmup":     20_000,
+		"measure":    100_000,
+		"flows":      flows,
 	}
+}
+
+func hotspotFlow(node, injector int, rate float64) map[string]any {
+	return map[string]any{"node": node, "injector": injector, "rate": rate, "dest": "hotspot"}
 }
 
 // fig4Rates is Figure 4's X axis: injection rates 1–15 %.
@@ -80,18 +86,26 @@ func quickRates() []float64 {
 	return []float64{0.01, 0.02, 0.05, 0.08, 0.11, 0.14}
 }
 
-// Builtin returns a fresh copy of a built-in scenario by name, validated
-// and defaulted like a loaded file.
-func Builtin(name string) (*Scenario, error) {
-	f, ok := builtins[name]
+// BuiltinLayer is the root layer of a built-in scenario: its key tree
+// as an in-memory JSON blob labelled "builtin:<name>" (the origin
+// -explain prints), so profiles, TANOQ_SET_* and CLI overrides layer
+// over a built-in exactly as over a file. Naming no built-in fails at
+// resolve time, listing the names that exist.
+func BuiltinLayer(name string) Layer { return builtinLayer{name} }
+
+type builtinLayer struct{ name string }
+
+func (l builtinLayer) apply(r *Resolution) error {
+	f, ok := builtins[l.name]
 	if !ok {
-		return nil, fmt.Errorf("scenario: no file and no built-in named %q (built-ins: %v)", name, BuiltinNames())
+		return fmt.Errorf("scenario: no file and no built-in named %q (built-ins: %v)", l.name, BuiltinNames())
 	}
-	sc := f()
-	if err := sc.Validate(); err != nil {
-		return nil, err
+	// Indented so each key gets its own line in -explain provenance.
+	blob, err := json.MarshalIndent(f(), "", "  ")
+	if err != nil {
+		return err
 	}
-	return sc, nil
+	return BlobLayer("builtin:"+l.name, blob, ".json").apply(r)
 }
 
 // BuiltinNames lists the built-in scenario names in sorted order.

@@ -28,7 +28,7 @@ import (
 // explicit flow list with roles, the closed-loop axes, or a replay
 // trace's content digest), the fault schedule and recovery axes, and
 // the engine version stamp. What stays out is exactly what cannot:
-// worker count and the idle-skip toggle (results are bit-identical
+// worker count and idle fast-forward (results are bit-identical
 // either way — a tested engine invariant), deadlines, retry budgets,
 // the scenario's display name, and the whole [telemetry] table (probes
 // are display-only by the same tested invariant — a probed cell's row
@@ -354,8 +354,9 @@ func payloadToRow(p Point, c *cachedRow) Result {
 	}
 }
 
-// DurableOpts tunes RunDurable. The zero value behaves like Grid.Run:
-// no cache, no deadline, the historical one-retry budget.
+// DurableOpts tunes RunDurable. The zero value runs every cell
+// uncached, with no deadline and one retry per failed cell — the plain
+// grid run that noctool timeline and Degrade use.
 type DurableOpts struct {
 	RunOpts
 	// Store, when non-nil, memoizes result rows: hits are served without
@@ -367,7 +368,7 @@ type DurableOpts struct {
 	// is backed by a durable entry).
 	Journal *store.Journal
 	// Deadline, Retries and Backoff are passed through to the runner for
-	// every executed cell (Retries: 0 = the historical single retry,
+	// every executed cell (Retries: 0 = the default single retry,
 	// negative = none).
 	Deadline time.Duration
 	Retries  int
@@ -449,20 +450,7 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 	}
 
 	// Phase 3: run the misses, checkpointing each row as it lands.
-	ropts := runner.Options{
-		Workers:  opts.Workers,
-		Retries:  opts.Retries,
-		Backoff:  opts.Backoff,
-		Deadline: opts.Deadline,
-	}
-	if ropts.Retries == 0 {
-		ropts.Retries = 1 // Grid.Run's historical budget
-	}
-	cells := make([]runner.Cell, len(missed))
-	for mi, i := range missed {
-		cells[mi] = g.cells[i]
-		cells[mi].Config.DisableIdleSkip = opts.DisableIdleSkip
-	}
+	ropts := opts.runnerOpts()
 	var (
 		ckMu          sync.Mutex
 		checkpointErr error
@@ -490,7 +478,7 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 			ckMu.Unlock()
 		}
 	}
-	res := runner.RunCellsCtx(ctx, cells, ropts)
+	res := runner.RunCellsCtx(ctx, cellsAt(g.cells, missed), ropts)
 	for mi, i := range missed {
 		if res[mi].Err == runner.ErrSkipped {
 			rep.Results[i] = Result{Point: g.Points[i], Error: skippedError}
@@ -521,10 +509,29 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 	return rep, nil
 }
 
+// runnerOpts maps the durable knobs onto the runner's: Retries 0 keeps
+// the default single retry, a negative budget disables retries.
+func (o *DurableOpts) runnerOpts() runner.Options {
+	ro := runner.Options{Workers: o.Workers, Retries: o.Retries, Backoff: o.Backoff, Deadline: o.Deadline}
+	if ro.Retries == 0 {
+		ro.Retries = 1
+	}
+	return ro
+}
+
+// cellsAt copies the cells at the given indices.
+func cellsAt(src []runner.Cell, idx []int) []runner.Cell {
+	out := make([]runner.Cell, len(idx))
+	for k, i := range idx {
+		out[k] = src[i]
+	}
+	return out
+}
+
 // resolveRefs fills refBase for every reference cell some missed cell
 // depends on: from the cache when possible, by simulation otherwise
 // (writing the baseline back). A failed reference leaves its baseline
-// at zero — dependents report no slowdown, matching Grid.Run.
+// at zero — dependents report no slowdown.
 func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int, refBase map[int]float64) error {
 	needed := map[int]bool{}
 	for _, i := range missed {
@@ -555,17 +562,7 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int,
 	if len(torun) == 0 {
 		return nil
 	}
-	cells := make([]runner.Cell, len(torun))
-	for ti, r := range torun {
-		cells[ti] = g.refCells[r]
-		cells[ti].Config.DisableIdleSkip = opts.DisableIdleSkip
-	}
-	ropts := runner.Options{Workers: opts.Workers, Retries: opts.Retries,
-		Backoff: opts.Backoff, Deadline: opts.Deadline}
-	if ropts.Retries == 0 {
-		ropts.Retries = 1
-	}
-	res := runner.RunCellsCtx(ctx, cells, ropts)
+	res := runner.RunCellsCtx(ctx, cellsAt(g.refCells, torun), opts.runnerOpts())
 	for ti, r := range torun {
 		if res[ti].Failed() {
 			continue
@@ -605,12 +602,7 @@ func (g *Grid) verifyHits(ctx context.Context, opts *DurableOpts, hitIdx []int, 
 	if err := g.resolveRefs(ctx, opts, sample, refBase); err != nil {
 		return err
 	}
-	cells := make([]runner.Cell, len(sample))
-	for si, i := range sample {
-		cells[si] = g.cells[i]
-		cells[si].Config.DisableIdleSkip = opts.DisableIdleSkip
-	}
-	res := runner.RunCellsCtx(ctx, cells, runner.Options{Workers: opts.Workers,
+	res := runner.RunCellsCtx(ctx, cellsAt(g.cells, sample), runner.Options{Workers: opts.Workers,
 		Retries: 1, Deadline: opts.Deadline})
 	for si, i := range sample {
 		if res[si].Err == runner.ErrSkipped {

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -27,6 +29,26 @@ func gridOf(t *testing.T, toml string) *Grid {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// runGrid runs a grid uncached through RunDurable — the path noctool
+// timeline and Degrade take — on the given worker count. tick forces
+// every cell, hidden victim references included, through the
+// tick-driven engine (network.Config.DisableIdleSkip), the reference
+// the skip-equivalence checks compare against.
+func runGrid(t *testing.T, g *Grid, workers int, tick bool) []Result {
+	t.Helper()
+	for i := range g.cells {
+		g.cells[i].Config.DisableIdleSkip = tick
+	}
+	for i := range g.refCells {
+		g.refCells[i].Config.DisableIdleSkip = tick
+	}
+	rep, err := g.RunDurable(context.Background(), DurableOpts{RunOpts: RunOpts{Workers: workers}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Results
 }
 
 // zeroWall returns a copy of the rows with the wall-clock columns — the
@@ -304,7 +326,7 @@ func TestRunDurableCacheLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gridOf(t, durableToml)
-	plain := g.Run(RunOpts{Workers: 1})
+	plain := runGrid(t, g, 1, false)
 
 	first, err := gridOf(t, durableToml).RunDurable(context.Background(), DurableOpts{Store: st})
 	if err != nil {
@@ -373,7 +395,7 @@ func TestRunDurableResumeCompletesPartialCache(t *testing.T) {
 	if rep.Hits != 1 || rep.Executed != 1 {
 		t.Fatalf("resume: hits %d executed %d, want 1/1", rep.Hits, rep.Executed)
 	}
-	uninterrupted := gridOf(t, durableToml).Run(RunOpts{Workers: 1})
+	uninterrupted := runGrid(t, gridOf(t, durableToml), 1, false)
 	resumed, fresh := zeroWall(rep.Results), zeroWall(uninterrupted)
 	if !reflect.DeepEqual(resumed, fresh) {
 		t.Fatalf("resumed table diverges from uninterrupted run:\n%+v\n%+v", rep.Results, uninterrupted)
@@ -446,7 +468,7 @@ dest = 7
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := gridOf(t, toml).Run(RunOpts{Workers: 1})
+	plain := runGrid(t, gridOf(t, toml), 1, false)
 	if plain[0].VictimSlowdown <= 1 {
 		t.Fatalf("scenario does not exercise the slowdown column: %+v", plain[0])
 	}
@@ -534,8 +556,8 @@ func TestRunDurableVerifyProbedGrid(t *testing.T) {
 	}
 }
 
-// TestCacheKeyGolden pins the cache keys of three grids to recorded
-// digests: a store filled by an earlier build must keep serving every
+// TestCacheKeyGolden pins the cache keys of three grids and of every
+// built-in scenario to recorded digests: a store filled by an earlier build must keep serving every
 // row after a change. A failure here means the change
 // retires every cached row; only make it on purpose, with the new
 // digests, when the cell schema or the simulator's results changed.
@@ -574,6 +596,36 @@ think_times = [0]
 			}
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("cache keys moved:\ngot  %q\nwant %q", got, tc.want)
+			}
+		})
+	}
+	// Built-ins pin one SHA-256 over their whole key list (one key per
+	// line, grid order): a built-in must keep hitting the rows an
+	// earlier binary cached for it.
+	for name, want := range map[string]string{
+		"fig4a":       "4654de130f7613fc7cf3d73f83b5e9517f03cce0dc30b0b33720952d5c994700",
+		"fig4a-quick": "d5a8792cdf93229809b8b92efca12cd88bde1a897ea4d1ec46d04c6e7248689a",
+		"fig4b":       "3392c29be629a6568a2b434c8415aa031e87a5ad1838a51b3c0669bfb7983c16",
+		"fig4b-quick": "4149d69219cc361c6350e89f1d76a2c05ae552827968d7337c3b2afebfd0529f",
+		"workload1":   "fc0d88480859e47c4223a1360e5ae19c7125b0aefd7b4cbc09eef3ee3f209df1",
+		"workload2":   "53513f11b7f94bcf83a4e175f5a5206caa23f3cfa25ea75e976dfc2d811df3fa",
+	} {
+		t.Run("builtin:"+name, func(t *testing.T) {
+			sc, _, err := Resolve(BuiltinLayer(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := sc.Grid()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, err := g.Keys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("built-in %s cache keys moved: digest %s, want %s", name, got, want)
 			}
 		})
 	}

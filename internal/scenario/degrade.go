@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -76,8 +77,15 @@ func Degrade(sc *Scenario, opts RunOpts) ([]DegradeRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	fres := fg.Run(opts)
-	bres := bg.Run(opts)
+	frep, err := fg.RunDurable(context.Background(), DurableOpts{RunOpts: opts})
+	if err != nil {
+		return nil, err
+	}
+	brep, err := bg.RunDurable(context.Background(), DurableOpts{RunOpts: opts})
+	if err != nil {
+		return nil, err
+	}
+	fres, bres := frep.Results, brep.Results
 	baseBy := make(map[degradeKey]Result, len(bres))
 	for _, r := range bres {
 		baseBy[keyOf(r.Point)] = r

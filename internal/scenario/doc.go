@@ -5,17 +5,20 @@
 // parallel experiment runner. What previously required a hand-written Go
 // driver per workload (internal/experiments' figure drivers) is now a
 // small text file; the paper's own evaluation grids are re-expressed as
-// built-in scenarios (Builtin) and pinned bit-identical to the original
-// drivers by tests.
+// built-in scenarios (BuiltinLayer) and pinned bit-identical to the
+// original drivers by tests.
 //
 // # Layered resolution
 //
 // A scenario is not one flat file but the merge of an ordered layer
 // stack, resolved by Resolve(...Layer). Precedence, lowest first:
 //
-//	defaults < include chain < file < profile < env < CLI overrides
+//	defaults < include chain < file or built-in < profile < env < CLI overrides
 //
-// FileLayer loads a file and recursively loads its `include` list first
+// The root is a FileLayer or a BuiltinLayer: a built-in is the same key
+// tree a file would hold, labelled builtin:<name>, so everything above
+// the root applies to built-ins and files alike. FileLayer loads a file
+// and recursively loads its `include` list first
 // (paths resolve against the including file's directory; cycles are
 // detected and rejected with ErrIncludeCycle). ProfileLayer applies one
 // named [profiles.<name>] patch — a table that may override any subset
@@ -38,8 +41,8 @@
 // the offending file, line, key and layer (errors.Is/As compatible, with
 // ErrUnknownKey/ErrUnknownProfile/ErrIncludeCycle sentinels).
 //
-// Load (path or built-in name) and Parse (in-memory blob) remain as
-// single-layer facades over Resolve. Cache keys (Grid.Keys) are computed
+// Load (file path) and Parse (in-memory blob) remain as single-layer
+// facades over Resolve. Cache keys (Grid.Keys) are computed
 // over the resolved canonical scenario, so two routes to the same
 // resolved grid — a profile selection or a hand-flattened file — share
 // cache entries; includes and profiles are cache-transparent.
@@ -165,7 +168,8 @@
 // # Determinism
 //
 // A grid cell's randomness derives entirely from its (workload, seed)
-// pair, so results are bit-identical for every worker count and with
-// idle skipping on or off — the same contract the built-in experiment
+// pair, so results are bit-identical for every worker count, and the
+// engine's idle fast-forward is mechanical (a cell equals its
+// cycle-by-cycle run) — the same contract the built-in experiment
 // drivers carry, enforced for scenarios by this package's tests.
 package scenario

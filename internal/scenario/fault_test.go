@@ -72,7 +72,7 @@ until = 3500
 			t.Errorf("cell %d fault config: %+v wd=%d", i, cfg.Faults, cfg.WatchdogCycles)
 		}
 	}
-	results := g.Run(RunOpts{Workers: 2})
+	results := runGrid(t, g, 2, false)
 	for i, r := range results {
 		if r.Error != "" {
 			t.Fatalf("row %d failed: %s", i, r.Error)
@@ -168,7 +168,7 @@ role = "aggressor"
 	if g.Size() != 2 || len(g.refCells) != 2 {
 		t.Fatalf("grid %d cells, %d ref cells; want 2, 2", g.Size(), len(g.refCells))
 	}
-	results := g.Run(RunOpts{Workers: 1})
+	results := runGrid(t, g, 1, false)
 	if len(results) != 2 {
 		t.Fatalf("got %d result rows, want 2 (reference cells must stay hidden)", len(results))
 	}
@@ -185,7 +185,7 @@ role = "aggressor"
 	if results[1].VictimSlowdown <= 1 {
 		t.Errorf("no-qos victim slowdown %v, want > 1", results[1].VictimSlowdown)
 	}
-	again := g.Run(RunOpts{Workers: 4})
+	again := runGrid(t, g, 4, false)
 	for i := range again {
 		// Wall-clock is legitimately non-deterministic across runs.
 		results[i].Wall, results[i].CyclesPerSec = 0, 0
@@ -280,7 +280,7 @@ from = 500
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := g.Run(RunOpts{Workers: 1})
+	results := runGrid(t, g, 1, false)
 	if len(results) != 1 {
 		t.Fatalf("got %d rows, want 1", len(results))
 	}

@@ -232,7 +232,7 @@ func TestFig4QuickScenarioBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := g.Run(RunOpts{})
+	got := runGrid(t, g, 0, false)
 
 	p := experiments.QuickParams()
 	rates := experiments.QuickFig4Rates()
@@ -272,7 +272,7 @@ func TestBuiltinQuickMatchesExampleFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	builtin, err := Builtin("fig4a-quick")
+	builtin, _, err := Resolve(BuiltinLayer("fig4a-quick"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestWorkloadBuiltinsMatchTrafficConstructors(t *testing.T) {
 		"workload1": traffic.Workload1(topology.ColumnNodes, 0),
 		"workload2": traffic.Workload2(topology.ColumnNodes, 0),
 	} {
-		sc, err := Builtin(name)
+		sc, _, err := Resolve(BuiltinLayer(name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestWorkloadBuiltinsMatchTrafficConstructors(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Builtin("fig9"); err == nil {
+	if _, _, err := Resolve(BuiltinLayer("fig9")); err == nil {
 		t.Error("unknown builtin accepted")
 	}
 }
@@ -328,7 +328,7 @@ func TestPatternsSweepCoversAllTopologiesAndModes(t *testing.T) {
 	if want := 4 * 5 * 3; g.Size() != want {
 		t.Fatalf("grid size %d, want %d", g.Size(), want)
 	}
-	results := g.Run(RunOpts{})
+	results := runGrid(t, g, 0, false)
 	seen := map[string]bool{}
 	for _, r := range results {
 		if r.Delivered == 0 {
@@ -360,18 +360,16 @@ func TestSweepDeterministicAcrossWorkersAndSkip(t *testing.T) {
 			rs[i].Wall, rs[i].CyclesPerSec = 0, 0
 		}
 	}
-	base := g.Run(RunOpts{Workers: 1})
+	base := runGrid(t, g, 1, false)
 	stripWall(base)
-	for _, opts := range []RunOpts{
-		{Workers: 0},
-		{Workers: 3},
-		{Workers: 1, DisableIdleSkip: true},
-		{Workers: 0, DisableIdleSkip: true},
-	} {
-		got := g.Run(opts)
+	for _, run := range []struct {
+		workers int
+		tick    bool
+	}{{0, false}, {3, false}, {1, true}, {0, true}} {
+		got := runGrid(t, g, run.workers, run.tick)
 		stripWall(got)
 		if !reflect.DeepEqual(base, got) {
-			t.Errorf("results diverged for %+v", opts)
+			t.Errorf("results diverged for %+v", run)
 		}
 	}
 }
@@ -385,7 +383,7 @@ func TestCSVAndJSONEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := g.Run(RunOpts{})
+	res := runGrid(t, g, 0, false)
 	csv := CSV("emit-test", res)
 	if lines := strings.Count(csv, "\n"); lines != 2 {
 		t.Errorf("CSV has %d lines, want header + 1 row:\n%s", lines, csv)

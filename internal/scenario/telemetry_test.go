@@ -73,8 +73,8 @@ func stripTimelines(rs []Result) []Result {
 // produces bit-identical result rows — which is exactly why the
 // telemetry knobs stay out of the cache key.
 func TestProbedGridEquivalentToUnprobed(t *testing.T) {
-	plain := gridOf(t, telemetryBase).Run(RunOpts{Workers: 1})
-	probed := gridOf(t, telemetryBase+"[telemetry]\ninterval = 400\n").Run(RunOpts{Workers: 1})
+	plain := runGrid(t, gridOf(t, telemetryBase), 1, false)
+	probed := runGrid(t, gridOf(t, telemetryBase+"[telemetry]\ninterval = 400\n"), 1, false)
 	for i := range probed {
 		if probed[i].Timeline == nil || probed[i].Timeline.Samples() == 0 {
 			t.Fatalf("cell %d: probed run carries no timeline", i)
@@ -106,8 +106,8 @@ func TestTelemetryCacheKeysUnchanged(t *testing.T) {
 // with idle skipping on or off.
 func TestTimelineDeterministicAcrossWorkersAndSkip(t *testing.T) {
 	src := telemetryBase + "[telemetry]\ninterval = 400\ntop_flows = 4\n"
-	collect := func(opts RunOpts) [][]byte {
-		results := gridOf(t, src).Run(opts)
+	collect := func(workers int, tick bool) [][]byte {
+		results := runGrid(t, gridOf(t, src), workers, tick)
 		blobs := make([][]byte, len(results))
 		for i, r := range results {
 			if r.Error != "" {
@@ -121,13 +121,16 @@ func TestTimelineDeterministicAcrossWorkersAndSkip(t *testing.T) {
 		}
 		return blobs
 	}
-	base := collect(RunOpts{Workers: 1})
-	for name, opts := range map[string]RunOpts{
-		"workers=4":             {Workers: 4},
-		"no idle skip":          {Workers: 1, DisableIdleSkip: true},
-		"workers, no idle skip": {Workers: 2, DisableIdleSkip: true},
+	base := collect(1, false)
+	for name, run := range map[string]struct {
+		workers int
+		tick    bool
+	}{
+		"workers=4":             {4, false},
+		"no idle skip":          {1, true},
+		"workers, no idle skip": {2, true},
 	} {
-		got := collect(opts)
+		got := collect(run.workers, run.tick)
 		for i := range base {
 			if string(got[i]) != string(base[i]) {
 				t.Errorf("%s: cell %d timeline diverged:\nbase: %s\ngot:  %s", name, i, base[i], got[i])
@@ -140,7 +143,7 @@ func TestTimelineDeterministicAcrossWorkersAndSkip(t *testing.T) {
 // end-to-end: the runner arms samplers with the scenario's
 // warmup+measure horizon, so an in-schedule run drops nothing.
 func TestTelemetryHorizonFollowsSchedule(t *testing.T) {
-	results := gridOf(t, telemetryBase+"[telemetry]\ninterval = 100\n").Run(RunOpts{Workers: 1})
+	results := runGrid(t, gridOf(t, telemetryBase+"[telemetry]\ninterval = 100\n"), 1, false)
 	for i, r := range results {
 		tl := r.Timeline
 		if tl.DroppedSamples != 0 || tl.DroppedMarks != 0 {

@@ -17,8 +17,10 @@ import (
 // backed by a durable row (the converse need not hold; unjournaled
 // cache entries are still served as ordinary hits).
 //
-// Lines that do not look like keys are ignored on read, so a torn final
-// line from a crash costs at most one re-run.
+// A crash mid-append can leave a torn final line. Lines that do not look
+// like keys are ignored on read, and OpenJournal ends a torn final line
+// with a newline before anything is appended, so the torn line costs
+// only its own cell's re-run and never swallows the next record.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -42,11 +44,32 @@ func OpenJournal(path string) (*Journal, error) {
 			j.done[key] = true
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); err == nil {
+		err = endTornLine(f)
+	}
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: journal %s: %w", path, err)
 	}
 	return j, nil
+}
+
+// endTornLine appends (and syncs) a newline when a non-empty journal
+// does not end in one; otherwise the next O_APPEND record would extend
+// the torn line and be unreadable as a key.
+func endTornLine(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, fi.Size()-1); err != nil || last[0] == '\n' {
+		return err
+	}
+	if _, err := f.WriteString("\n"); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // validKey reports whether a journal line is a plausible cache key

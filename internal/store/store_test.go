@@ -184,6 +184,35 @@ func TestJournalIgnoresTornLine(t *testing.T) {
 	}
 }
 
+// TestJournalTornLineKeepsNextRecord pins that a record appended after
+// a torn final line stays readable: the journal ends the torn line
+// before appending, so the new key does not land on it.
+func TestJournalTornLineKeepsNextRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	k1, k2 := KeyOf([]byte("whole")), KeyOf([]byte("next"))
+	torn := KeyOf([]byte("torn"))[:30]
+	if err := os.WriteFile(path, []byte(k1+"\n"+torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record(k2); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if !j2.Done(k1) || !j2.Done(k2) || j2.Len() != 2 {
+		t.Errorf("after reopen: done(k1)=%v done(k2)=%v len=%d, want true true 2",
+			j2.Done(k1), j2.Done(k2), j2.Len())
+	}
+}
+
 func TestJournalConcurrentRecord(t *testing.T) {
 	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal"))
 	if err != nil {

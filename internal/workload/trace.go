@@ -169,16 +169,18 @@ func (r *traceReader) uvarint(what string) uint64 {
 }
 
 func (r *traceReader) str(what string) string {
-	n := int(r.uvarint(what + " length"))
+	n := r.uvarint(what + " length")
 	if r.err != nil {
 		return ""
 	}
-	if n < 0 || r.pos+n > len(r.buf) {
+	// Compared against what is left, not as pos+n: a length near the
+	// top of the range would overflow the sum and slip past the check.
+	if n > uint64(len(r.buf)-r.pos) {
 		r.err = fmt.Errorf("workload: trace truncated reading %s", what)
 		return ""
 	}
-	s := string(r.buf[r.pos : r.pos+n])
-	r.pos += n
+	s := string(r.buf[r.pos : r.pos+int(n)])
+	r.pos += int(n)
 	return s
 }
 
@@ -236,7 +238,9 @@ func DecodeTrace(blob []byte) (*Trace, error) {
 		return nil, fmt.Errorf("workload: trace header nodes %d invalid", t.Header.Nodes)
 	}
 	flows := t.Header.Nodes * topology.InjectorsPerNode
-	t.Records = make([]traffic.TraceRecord, 0, count)
+	// Every record takes at least five bytes (five uvarints), so the
+	// bytes left bound how many can follow, whatever count claims.
+	t.Records = make([]traffic.TraceRecord, 0, min(count, uint64(len(blob)-r.pos)/5))
 	at := sim.Cycle(0)
 	for i := uint64(0); i < count; i++ {
 		at += sim.Cycle(r.uvarint("cycle delta"))

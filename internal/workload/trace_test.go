@@ -197,6 +197,11 @@ func TestTraceDecodeRejectsGarbage(t *testing.T) {
 		"mid header":    valid[:12],
 		"mid records":   valid[:len(valid)-3],
 		"trailing junk": append(append([]byte{}, valid...), 0x01),
+		// Hostile lengths: a topology string length near MaxInt64 (its
+		// end offset overflows int) and a record count of 1<<62 (far
+		// more records than bytes). Both once panicked.
+		"string length past MaxInt": traceLengthCrasher,
+		"record count 1<<62":        traceCountCrasher,
 	}
 	for name, blob := range cases {
 		if _, err := DecodeTrace(blob); err == nil {
